@@ -122,28 +122,30 @@ class PlanComparator:
             return int(np.argmin(np.array(costs, dtype=np.float64)))
         # Round-robin vote over every pair (the paper's wrapper for models
         # that only rank pairs).
-        wins = [0] * len(vectors)
-        for i in range(len(vectors)):
-            for j in range(i + 1, len(vectors)):
-                if self.compare(vectors[i], vectors[j]) == 1:
-                    wins[i] += 1
-                else:
-                    wins[j] += 1
-        return int(np.argmax(wins))
+        return int(np.argmax(self.pairwise_wins(vectors)))
 
     def rank(self, vectors: Sequence[PlanVector]) -> list[int]:
         """Indices of candidates ordered best-first."""
         costs = [self.cost(v) for v in vectors]
         if all(c is not None for c in costs):
             return list(np.argsort(np.array(costs, dtype=np.float64)))
-        wins = [0] * len(vectors)
+        return list(np.argsort(-self.pairwise_wins(vectors)))
+
+    def pairwise_wins(self, vectors: Sequence[PlanVector]) -> np.ndarray:
+        """Round-robin win counts: each pair ``i < j`` gives one win.
+
+        ``compare(vectors[i], vectors[j]) == 1`` credits ``i``, anything
+        else credits ``j``; pairs are visited in row-major order, so
+        stateful comparators see the same call sequence every time.
+        """
+        wins = np.zeros(len(vectors), dtype=np.float64)
         for i in range(len(vectors)):
             for j in range(i + 1, len(vectors)):
                 if self.compare(vectors[i], vectors[j]) == 1:
                     wins[i] += 1
                 else:
                     wins[j] += 1
-        return list(np.argsort(-np.array(wins, dtype=np.float64)))
+        return wins
 
 
 class RankSVMComparator(PlanComparator):
@@ -232,6 +234,48 @@ class HeuristicComparator(PlanComparator):
             if decision is not None:
                 return decision
         return 1
+
+    #: Rows of the pair matrix evaluated at once by :meth:`pairwise_wins`;
+    #: its scratch memory is O(block * n) instead of O(n^2).
+    pairwise_block = 64
+
+    def pairwise_wins(self, vectors: Sequence[PlanVector]) -> np.ndarray:
+        """:meth:`compare` over every pair ``i < j``, vectorised.
+
+        Evaluates the same prioritised ``<``/``>`` tests on per-plan
+        feature arrays, a block of first plans against all second plans
+        at a time, so the win counts equal the pairwise loop's exactly.
+        """
+        n = len(vectors)
+        cardinality = np.array(
+            [v.total_cardinality + self.cardinality_epsilon for v in vectors],
+            dtype=np.float64,
+        )
+        scaled = cardinality * self.alpha
+        aggregates = np.array([v.client_aggregate_count() for v in vectors], dtype=np.float64)
+        operators = np.array([v.client_operator_count() for v in vectors], dtype=np.float64)
+        offloaded = np.array([v.counts.get("vdt", 0.0) for v in vectors], dtype=np.float64)
+        columns = np.arange(n)
+        wins = np.zeros(n, dtype=np.float64)
+        for start in range(0, n, self.pairwise_block):
+            rows = slice(start, min(start + self.pairwise_block, n))
+            # (first-plan-wins, second-plan-wins) per rule, priority order.
+            rules = (
+                (scaled[rows, None] < cardinality[None, :], scaled[None, :] < cardinality[rows, None]),
+                (aggregates[rows, None] > aggregates[None, :], aggregates[None, :] > aggregates[rows, None]),
+                (operators[rows, None] < operators[None, :], operators[None, :] < operators[rows, None]),
+                (offloaded[rows, None] > offloaded[None, :], offloaded[None, :] > offloaded[rows, None]),
+            )
+            pairs = columns[None, :] > columns[rows, None]  # i < j only
+            undecided = pairs.copy()
+            first_wins = np.zeros_like(pairs)
+            for first, second in rules:
+                first_wins |= undecided & first
+                undecided &= ~(first | second)
+            first_wins |= undecided  # every rule tied: the first plan wins
+            wins[rows] += first_wins.sum(axis=1)
+            wins += (pairs & ~first_wins).sum(axis=0)
+        return wins
 
     # -- individual rules ------------------------------------------------ #
     def _rule_cardinality(self, first: PlanVector, second: PlanVector) -> int | None:

@@ -89,14 +89,7 @@ class IncrementalConsolidator:
                 )
             self._scores += weight * np.array(costs, dtype=np.float64)
         else:
-            wins = np.zeros(self.n_plans, dtype=np.float64)
-            for i in range(self.n_plans):
-                for j in range(i + 1, self.n_plans):
-                    if self.comparator.compare(vectors[i], vectors[j]) == 1:
-                        wins[i] += 1
-                    else:
-                        wins[j] += 1
-            self._scores += weight * wins
+            self._scores += weight * self.comparator.pairwise_wins(vectors)
         self.n_episodes += 1
         return self.decision()
 

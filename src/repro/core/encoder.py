@@ -39,6 +39,7 @@ import numpy as np
 
 from repro.dataflow import Dataflow
 from repro.dataflow.operator import Operator, SourceOperator
+from repro.errors import ExpressionParseError
 from repro.expr import parse_expression
 from repro.expr.nodes import BinaryNode, IdentifierNode, MemberNode, NumberNode
 from repro.rewrite.rewriter import RewrittenDataflow
@@ -245,12 +246,27 @@ class PlanEncoder:
         return vector
 
     def encode_estimated(
-        self, rewritten: RewrittenDataflow, plan_id: int, episode: int = 0
+        self,
+        rewritten: RewrittenDataflow,
+        plan_id: int,
+        episode: int = 0,
+        operator_ids: set[int] | None = None,
+        estimates: dict[int, float] | None = None,
     ) -> PlanVector:
-        """Encode without executing, using EXPLAIN-style estimates."""
+        """Encode without executing, using EXPLAIN-style estimates.
+
+        ``operator_ids`` restricts the encoding to one interaction's
+        re-evaluated operators, as in :meth:`encode_measured`.
+        ``estimates`` passes in :meth:`estimate_cardinalities` already
+        computed for this dataflow under its current signal values, so
+        one plan's episodes share a single estimation pass.
+        """
+        if estimates is None:
+            estimates = self.estimate_cardinalities(rewritten)
         vector = PlanVector(plan_id=plan_id, episode=episode)
-        estimates = self._estimate_cardinalities(rewritten)
         for operator in rewritten.dataflow.operators():
+            if operator_ids is not None and operator.id not in operator_ids:
+                continue
             op_type = _operator_type(operator)
             vector.counts[op_type] = vector.counts.get(op_type, 0.0) + 1.0
             vector.cardinalities[op_type] = vector.cardinalities.get(
@@ -259,7 +275,8 @@ class PlanEncoder:
         return vector
 
     # ------------------------------------------------------------------ #
-    def _estimate_cardinalities(self, rewritten: RewrittenDataflow) -> dict[int, float]:
+    def estimate_cardinalities(self, rewritten: RewrittenDataflow) -> dict[int, float]:
+        """Estimated output rows of every operator, keyed by operator id."""
         estimates: dict[int, float] = {}
         dataflow = rewritten.dataflow
         signals = dataflow.signals.values()
@@ -406,7 +423,7 @@ def _filter_selectivity(
         return _FALLBACK_FILTER_SELECTIVITY
     try:
         node = parse_expression(expr)
-    except Exception:
+    except ExpressionParseError:
         return _FALLBACK_FILTER_SELECTIVITY
     selectivity = _node_selectivity(node, statistics, signals, zone_maps)
     if selectivity is None:

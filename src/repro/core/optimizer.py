@@ -123,18 +123,28 @@ class VegaPlusOptimizer:
         if signal_values:
             for built in rewritten:
                 built.dataflow.set_signal_values(dict(signal_values))
+        # Interactions are anticipated, not applied: every episode is
+        # estimated under the same signal values, so one pass per plan.
+        estimates = [self.encoder.estimate_cardinalities(r) for r in rewritten]
         initial = [
-            self.encoder.encode_estimated(r, plan.plan_id, episode=0)
-            for plan, r in zip(plans, rewritten)
+            self.encoder.encode_estimated(r, plan.plan_id, episode=0, estimates=e)
+            for plan, r, e in zip(plans, rewritten, estimates)
         ]
         episodes: list[list[PlanVector]] = [scale(initial)]
 
         for episode_index, interaction in enumerate(anticipated_interactions or [], start=1):
-            episode_vectors: list[PlanVector] = []
-            for plan, built in zip(plans, rewritten):
-                episode_vectors.append(
-                    self._encode_interaction(built, plan, interaction, episode_index)
+            # Each vector covers only the operators the interaction re-runs.
+            changed = set(interaction)
+            episode_vectors = [
+                self.encoder.encode_estimated(
+                    built,
+                    plan.plan_id,
+                    episode=episode_index,
+                    operator_ids=built.dataflow._stale_operators(changed),
+                    estimates=e,
                 )
+                for plan, built, e in zip(plans, rewritten, estimates)
+            ]
             episodes.append(scale(episode_vectors))
         return episodes, rewritten
 
@@ -156,33 +166,3 @@ class VegaPlusOptimizer:
             decision=decision,
             vectors=episodes[0],
         )
-
-    # ------------------------------------------------------------------ #
-    def _encode_interaction(
-        self,
-        built: RewrittenDataflow,
-        plan: ExecutionPlan,
-        interaction: Mapping[str, object],
-        episode_index: int,
-    ) -> PlanVector:
-        """Estimated vector covering only operators the interaction touches."""
-        changed = set(interaction)
-        stale = built.dataflow._stale_operators(changed)
-        full = self.encoder.encode_estimated(built, plan.plan_id, episode=episode_index)
-        if not stale:
-            return PlanVector(plan_id=plan.plan_id, episode=episode_index)
-        # Restrict counts/cardinalities to the stale subset by re-walking.
-        vector = PlanVector(plan_id=plan.plan_id, episode=episode_index)
-        estimates = self.encoder._estimate_cardinalities(built)
-        for operator in built.dataflow.operators():
-            if operator.id not in stale:
-                continue
-            from repro.core.encoder import _operator_type
-
-            op_type = _operator_type(operator)
-            vector.counts[op_type] = vector.counts.get(op_type, 0.0) + 1.0
-            vector.cardinalities[op_type] = vector.cardinalities.get(op_type, 0.0) + estimates.get(
-                operator.id, 0.0
-            )
-        del full
-        return vector

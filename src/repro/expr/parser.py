@@ -16,6 +16,8 @@ Grammar (precedence low → high)::
 
 from __future__ import annotations
 
+import functools
+
 from repro.errors import ExpressionParseError
 from repro.expr.nodes import (
     BinaryNode,
@@ -183,8 +185,12 @@ class _ExprParser:
     def _parse_primary(self) -> ExprNode:
         token = self._peek()
         if token.ttype is ExprTokenType.NUMBER:
+            try:
+                value = float(token.value)
+            except ValueError:
+                raise self._error("malformed number") from None
             self._advance()
-            return NumberNode(float(token.value))
+            return NumberNode(value)
         if token.ttype is ExprTokenType.STRING:
             self._advance()
             return StringNode(token.value)
@@ -216,5 +222,20 @@ def parse_expression(text: str) -> ExprNode:
     """
     if not isinstance(text, str) or not text.strip():
         raise ExpressionParseError(f"expression must be a non-empty string, got {text!r}")
-    tokens = tokenize_expression(text)
-    return _ExprParser(tokens, text).parse()
+    return _parse_text(text)
+
+
+#: Most distinct expression texts kept parsed.  A dashboard has a few
+#: dozen; the bound keeps memory flat when texts embed changing literals.
+_PARSE_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
+def _parse_text(text: str) -> ExprNode:
+    """Parse validated ``text``; callers share the result.
+
+    Sharing is safe because every node is a frozen dataclass whose
+    children are nodes or tuples.  Errors are not cached, so malformed
+    text raises on every call.
+    """
+    return _ExprParser(tokenize_expression(text), text).parse()

@@ -336,16 +336,21 @@ class SpecRewriter:
 
     def _rewrite_refs(self, definition: dict) -> dict:
         """Turn transform-produced signal refs into operator refs."""
-        def rewrite(value: object) -> object:
-            if isinstance(value, dict):
-                if set(value) == {"signal"} and value["signal"] in self._operator_signals:
-                    return {"operator": value["signal"]}
-                return {k: rewrite(v) for k, v in value.items()}
-            if isinstance(value, list):
-                return [rewrite(v) for v in value]
-            return value
-
         return {
-            key: (value if key == "signal" else rewrite(value))
+            key: (value if key == "signal" else _operator_refs(value, self._operator_signals))
             for key, value in definition.items()
         }
+
+
+def _operator_refs(value: object, operator_signals: set[str]) -> object:
+    """``value`` with each ``{"signal": name}`` of ``operator_signals`` as an
+    operator ref.  A module function, not a closure: a recursive closure is
+    a reference cycle that would keep the rewriter and its middleware's
+    caches alive until a full garbage collection."""
+    if isinstance(value, dict):
+        if set(value) == {"signal"} and value["signal"] in operator_signals:
+            return {"operator": value["signal"]}
+        return {k: _operator_refs(v, operator_signals) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_operator_refs(v, operator_signals) for v in value]
+    return value

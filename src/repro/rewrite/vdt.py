@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.dataflow.operator import EvaluationContext, Operator, OperatorResult
-from repro.errors import RewriteError
+from repro.errors import ExpressionParseError, RewriteError
 from repro.expr import parse_expression, referenced_signals
 from repro.net.middleware import MiddlewareServer, QueryResponse
 from repro.rewrite.templates import QueryFragment, apply_transform
@@ -146,29 +146,31 @@ def _definition_signal_refs(definition: dict) -> set[str]:
     signals used inside filter/formula expression strings.
     """
     found: set[str] = set()
-
-    def visit(value: object) -> None:
-        if isinstance(value, dict):
-            if set(value) == {"signal"} and isinstance(value["signal"], str):
-                found.add(value["signal"])
-                return
-            for item in value.values():
-                visit(item)
-        elif isinstance(value, (list, tuple)):
-            for item in value:
-                visit(item)
-
     for key, value in definition.items():
-        if key == "signal":
-            continue
-        visit(value)
+        if key != "signal":
+            _collect_signal_refs(value, found)
     expr = definition.get("expr")
     if isinstance(expr, str):
         try:
             found |= referenced_signals(parse_expression(expr))
-        except Exception:  # pragma: no cover - malformed expressions surface later
+        except ExpressionParseError:  # malformed expressions surface later
             pass
     return found
+
+
+def _collect_signal_refs(value: object, found: set[str]) -> None:
+    """Add every ``{"signal": name}`` nested in ``value`` to ``found`` (a
+    module function: a recursive closure would leave a reference cycle
+    behind on every call)."""
+    if isinstance(value, dict):
+        if set(value) == {"signal"} and isinstance(value["signal"], str):
+            found.add(value["signal"])
+            return
+        for item in value.values():
+            _collect_signal_refs(item, found)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _collect_signal_refs(item, found)
 
 
 def _extract_extent(rows: list[dict]) -> list[float]:

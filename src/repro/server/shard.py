@@ -398,6 +398,31 @@ class _ShardHandle:
     dead: BaseException | None = None
 
 
+def _merge_scheduler_stats(snapshots: list[dict[str, float]]) -> dict[str, float]:
+    """One scheduler snapshot for several shards.
+
+    Counters add up; ``peak_in_flight`` is the highest shard's peak (the
+    shards' peaks need not coincide); the two rates are recomputed over
+    the summed submissions, so ``mean_wait_seconds`` weights each
+    shard's mean by its ``submitted``.
+    """
+    snapshots = [snapshot for snapshot in snapshots if snapshot]
+    if not snapshots:
+        return {}
+    merged: dict[str, float] = {}
+    for snapshot in snapshots:
+        for key, value in snapshot.items():
+            merged[key] = merged.get(key, 0.0) + float(value)
+    merged["peak_in_flight"] = max(float(s.get("peak_in_flight", 0.0)) for s in snapshots)
+    submitted = merged.get("submitted", 0.0)
+    waited = sum(
+        float(s.get("mean_wait_seconds", 0.0)) * float(s.get("submitted", 0.0)) for s in snapshots
+    )
+    merged["mean_wait_seconds"] = waited / submitted if submitted else 0.0
+    merged["coalescing_rate"] = merged.get("coalesced", 0.0) / submitted if submitted else 0.0
+    return merged
+
+
 class AsyncGateway:
     """Asyncio front door of the sharded serving tier.
 
@@ -600,7 +625,8 @@ class AsyncGateway:
         """Cross-shard aggregate under ``"serving"`` plus per-shard detail.
 
         ``serving`` sums sessions/requests/executions over the live
-        shards, merges their single-flight scheduler counters, and embeds
+        shards, merges their single-flight scheduler counters (see
+        :func:`_merge_scheduler_stats`), and embeds
         the admission snapshot (including the shed count).
         """
         replies = await asyncio.gather(
@@ -618,15 +644,7 @@ class AsyncGateway:
         def total(key: str) -> float:
             return sum(float(stats.get(key, 0) or 0) for stats in live)
 
-        scheduler: dict[str, float] = {}
-        for stats in live:
-            for key, value in (stats.get("scheduler") or {}).items():
-                scheduler[key] = scheduler.get(key, 0.0) + float(value)
-        submitted = scheduler.get("submitted", 0.0)
-        if scheduler:
-            scheduler["coalescing_rate"] = (
-                scheduler.get("coalesced", 0.0) / submitted if submitted else 0.0
-            )
+        scheduler = _merge_scheduler_stats([stats.get("scheduler") or {} for stats in live])
         serving: dict[str, object] = {
             "n_shards": self.n_shards,
             "live_shards": len(live),

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.comparators import (
     HeuristicComparator,
+    PlanComparator,
     RandomComparator,
     RandomForestComparator,
     RankSVMComparator,
@@ -12,7 +15,7 @@ from repro.core.comparators import (
     train_comparator,
 )
 from repro.core.consolidation import consolidate_session, downweight_initial_render
-from repro.core.encoder import PlanVector
+from repro.core.encoder import PlanVector, normalize_cardinalities
 from repro.errors import OptimizationError
 
 
@@ -217,3 +220,119 @@ def test_downweight_initial_render_weights():
     assert weights == [0.25, 1.0, 1.0, 1.0]
     with pytest.raises(OptimizationError):
         downweight_initial_render(0)
+
+
+# --------------------------------------------------------------------------- #
+# Round-robin win counts
+# --------------------------------------------------------------------------- #
+
+
+def loop_wins(comparator, vectors):
+    """Reference round-robin: ``compare`` on every pair ``i < j``."""
+    wins = np.zeros(len(vectors), dtype=np.float64)
+    for i in range(len(vectors)):
+        for j in range(i + 1, len(vectors)):
+            if comparator.compare(vectors[i], vectors[j]) == 1:
+                wins[i] += 1
+            else:
+                wins[j] += 1
+    return wins
+
+
+#: Cardinalities with exact ``alpha`` multiples (1.5 * 2 == 3, 2 * 2 == 4)
+#: and zeros, so ties and boundaries come up often.
+_cardinality = st.sampled_from([0.0, 1.0, 1.5, 2.0, 3.0, 4.0, 4.5, 6.0, 1e6])
+_count = st.integers(0, 3).map(float)
+_vector = st.fixed_dictionaries(
+    {
+        "counts": st.dictionaries(
+            st.sampled_from(["vdt", "source", "filter", "aggregate", "joinaggregate", "collect"]),
+            _count,
+            max_size=4,
+        ),
+        "cardinalities": st.dictionaries(
+            st.sampled_from(["vdt", "source", "filter", "aggregate"]), _cardinality, max_size=3
+        ),
+    }
+)
+
+
+def as_vectors(drawn):
+    return [PlanVector(plan_id=i, **fields) for i, fields in enumerate(drawn)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    drawn=st.lists(_vector, min_size=1, max_size=12),
+    alpha=st.sampled_from([1.0, 1.5, 2.0]),
+    epsilon=st.sampled_from([0.0, 1e-9]),
+    block=st.integers(1, 5),
+)
+def test_heuristic_pairwise_wins_equals_loop(drawn, alpha, epsilon, block):
+    comparator = HeuristicComparator(alpha=alpha, cardinality_epsilon=epsilon)
+    comparator.pairwise_block = block
+    vectors = as_vectors(drawn)
+    wins = comparator.pairwise_wins(vectors)
+    assert wins.dtype == np.float64
+    assert wins.tolist() == loop_wins(comparator, vectors).tolist()
+
+
+def test_heuristic_pairwise_wins_alpha_boundary_is_a_tie():
+    # 2 * 1.5 == 3 exactly: rule 1 does not fire either way, so rule 2
+    # (more client aggregates) decides.
+    comparator = HeuristicComparator(alpha=1.5, cardinality_epsilon=0.0)
+    first = PlanVector(plan_id=0, cardinalities={"vdt": 2.0})
+    second = PlanVector(plan_id=1, counts={"aggregate": 1.0}, cardinalities={"vdt": 3.0})
+    assert comparator.compare(first, second) == 0
+    assert comparator.pairwise_wins([first, second]).tolist() == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
+def test_heuristic_pairwise_wins_around_block_size(n):
+    comparator = HeuristicComparator()
+    assert comparator.pairwise_block == 64
+    rng = np.random.default_rng(n)
+    vectors = [
+        PlanVector(
+            plan_id=i,
+            counts={"vdt": float(rng.integers(0, 3)), "aggregate": float(rng.integers(0, 2))},
+            cardinalities={"vdt": float(rng.choice([0.0, 10.0, 15.0, 1000.0]))},
+        )
+        for i in range(n)
+    ]
+    wins = comparator.pairwise_wins(vectors)
+    assert wins.tolist() == loop_wins(comparator, vectors).tolist()
+    assert wins.sum() == n * (n - 1) / 2
+
+
+def test_heuristic_pairwise_wins_all_zero_cardinalities_prefer_first():
+    comparator = HeuristicComparator()
+    vectors = [PlanVector(plan_id=i) for i in range(4)]
+    assert comparator.pairwise_wins(vectors).tolist() == [3.0, 2.0, 1.0, 0.0]
+    assert comparator.select_best(vectors) == 0
+
+
+def test_default_pairwise_wins_is_the_loop():
+    comparator = RandomComparator(seed=5)
+    vectors = make_vectors([1, 2, 3, 4, 5])
+    wins = PlanComparator.pairwise_wins(comparator, vectors)
+    assert wins.tolist() == loop_wins(RandomComparator(seed=5), vectors).tolist()
+
+
+def test_non_heuristic_decisions_unchanged():
+    # Frozen from the per-pair loop that select_best, rank and
+    # IncrementalConsolidator used before pairwise_wins existed.
+    episodes = [make_vectors([5, 50, 500, 5000, 50, 5]), make_vectors([7, 70, 700, 7000, 70, 7])]
+    decision = consolidate_session(RandomComparator(seed=11), episodes, episode_weights=[1.0, 2.0])
+    assert decision.per_plan_score == [10.0, 9.0, 6.0, 8.0, 8.0, 4.0]
+    assert decision.best_plan_index == 0
+    assert RandomComparator(seed=11).rank(episodes[0]) == [4, 1, 2, 0, 3, 5]
+
+    vectors, latencies = synthetic_training_set()
+    forest = RandomForestComparator().fit(build_pair_dataset(vectors, latencies))
+    candidates = normalize_cardinalities(synthetic_training_set(n_plans=10, seed=4)[0])
+    assert forest.select_best(candidates) == 3
+    assert forest.rank(candidates) == [3, 7, 5, 1, 9, 4, 6, 8, 0, 2]
+    decision = consolidate_session(forest, [candidates, candidates[::-1]])
+    assert decision.per_plan_score == [6.0, 8.0, 8.0, 12.0, 11.0, 11.0, 12.0, 8.0, 8.0, 6.0]
+    assert decision.best_plan_index == 3

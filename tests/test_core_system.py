@@ -1,10 +1,19 @@
 """End-to-end tests of VegaPlusSystem, the optimizer facade and baselines."""
 
+import gc
+import hashlib
+import weakref
+
+import numpy as np
 import pytest
 
+from repro.backends import create_backend
 from repro.baselines import VegaFusionSystem, VegaNativeSystem
 from repro.core import HeuristicComparator, VegaPlusOptimizer, VegaPlusSystem
+from repro.bench.templates import template_names
+from repro.bench.workload import WorkloadGenerator
 from repro.core.enumerator import PlanEnumerator
+from repro.datasets import generate_dataset
 from repro.errors import OptimizationError
 from repro.net import MiddlewareServer, NetworkModel
 from repro.vega.spec import parse_spec_dict
@@ -43,9 +52,60 @@ def test_optimizer_encode_candidates_episode_structure(histogram_spec, flights_d
         optimizer.encode_candidates([])
 
 
+#: Per template on 2k-row flights with one anticipated interaction:
+#: (plan_id, candidates, sha256 prefix of per_plan_score as float64 bytes),
+#: frozen from the optimizer before parse caching, shared per-plan
+#: estimates and vectorised win counting.
+GOLDEN_DECISIONS = {
+    "trellis_stacked_bar": (3, 4, "c1edc8309c251fcc"),
+    "line_chart": (2, 3, "b0c45303f7f11848"),
+    "interactive_histogram": (3, 4, "3ac160934904bd9c"),
+    "zoomable_heatmap": (4, 5, "191f03d60920e2ee"),
+    "crossfilter": (503, 756, "9b5755b3d4e618e9"),
+    "heatmap_bar": (9, 15, "82e68dd7f79dbd21"),
+    "overview_detail": (29, 40, "827443151471471d"),
+}
+
+
+@pytest.fixture(scope="module")
+def golden_backend():
+    backend = create_backend("embedded")
+    backend.register_rows("flights", generate_dataset("flights", 2000, seed=0))
+    yield backend
+    backend.close()
+
+
+@pytest.mark.parametrize("index,name", list(enumerate(template_names())))
+def test_optimizer_decisions_match_golden(golden_backend, index, name):
+    instance = WorkloadGenerator(seed=0).instantiate(name, "flights")
+    rng = np.random.default_rng([0, index])
+    anticipated = [instance.sample_interaction(rng)] if instance.bound.interactive else None
+    result = VegaPlusSystem(instance.spec, golden_backend).optimize(anticipated)
+    scores = np.asarray(result.decision.per_plan_score, dtype=np.float64)
+    digest = hashlib.sha256(scores.tobytes()).hexdigest()[:16]
+    assert (result.plan.plan_id, result.n_candidates, digest) == GOLDEN_DECISIONS[name]
+
+
 # --------------------------------------------------------------------------- #
 # VegaPlusSystem
 # --------------------------------------------------------------------------- #
+
+
+def test_closed_dashboard_is_freed_without_cycle_collection(histogram_spec, flights_db):
+    # The middleware holds the dashboard's result caches; reference cycles
+    # would keep them until a full garbage collection.
+    gc.collect()
+    gc.disable()
+    try:
+        system = VegaPlusSystem(histogram_spec, flights_db)
+        system.optimize(anticipated_interactions=INTERACTIONS)
+        system.initialize()
+        system.interact(INTERACTIONS[0])
+        middleware = weakref.ref(system.middleware)
+        del system
+        assert middleware() is None
+    finally:
+        gc.enable()
 
 
 def test_system_requires_plan_before_execution(histogram_spec, flights_db):

@@ -73,6 +73,27 @@ def test_parse_errors():
         parse_expression("a ? b")
     with pytest.raises(ExpressionParseError):
         parse_expression("(a + b")
+    with pytest.raises(ExpressionParseError):
+        parse_expression("datum.delay > 1e")
+
+
+def test_parse_repeated_text_returns_the_same_frozen_ast():
+    text = "abs(datum.delay) > threshold && datum.distance <= 300"
+    first = parse_expression(text)
+    assert parse_expression(text) is first
+    assert isinstance(first.left.left.args, tuple)
+    with pytest.raises(AttributeError):
+        first.op = "||"
+
+
+def test_parse_malformed_text_raises_on_every_call():
+    for _ in range(3):
+        with pytest.raises(ExpressionParseError):
+            parse_expression("datum.delay >")
+        with pytest.raises(ExpressionParseError):
+            parse_expression("   ")
+        with pytest.raises(ExpressionParseError):
+            parse_expression(None)
 
 
 # --------------------------------------------------------------------------- #

@@ -10,6 +10,7 @@ from __future__ import annotations
 import asyncio
 import pickle
 import socket
+from types import SimpleNamespace
 
 import pytest
 
@@ -336,6 +337,45 @@ def test_gateway_close_is_idempotent_and_start_validates():
             assert not handle.process.is_alive()
 
     asyncio.run(scenario())
+
+
+def test_gateway_stats_merges_scheduler_counters_across_shards(monkeypatch):
+    def reply(shard, submitted, coalesced, peak, mean_wait):
+        return {
+            "shard": shard,
+            "sessions": 1,
+            "requests": submitted,
+            "queries_executed": submitted - coalesced,
+            "scheduler": {
+                "submitted": float(submitted),
+                "executed": float(submitted - coalesced),
+                "coalesced": float(coalesced),
+                "failed": 0.0,
+                "peak_in_flight": float(peak),
+                "coalescing_rate": coalesced / submitted,
+                "mean_wait_seconds": mean_wait,
+            },
+        }
+
+    replies = [reply(0, 30, 10, 4, 0.010), reply(1, 10, 5, 7, 0.050)]
+    gateway = AsyncGateway(SPEC, n_shards=2)
+    gateway._shards = [SimpleNamespace(index=i, requests=0) for i in range(2)]
+
+    async def fake_call(shard, message, timeout=None):
+        assert message == {"op": "stats"}
+        return {"stats": replies[shard]}
+
+    monkeypatch.setattr(gateway, "_call", fake_call)
+    serving = asyncio.run(gateway.stats())["serving"]
+    scheduler = serving["scheduler"]
+    assert serving["requests"] == 40
+    assert scheduler["submitted"] == 40.0
+    assert scheduler["executed"] == 25.0
+    assert scheduler["coalesced"] == 15.0
+    assert scheduler["coalescing_rate"] == pytest.approx(15 / 40)
+    assert scheduler["peak_in_flight"] == 7.0  # max, not 4 + 7
+    # Weighted by submissions: (30 * 0.010 + 10 * 0.050) / 40, not 0.060.
+    assert scheduler["mean_wait_seconds"] == pytest.approx(0.020)
 
 
 # --------------------------------------------------------------------------- #
