@@ -38,6 +38,10 @@ from repro.core.encoder import PlanVector, normalize_cardinalities
 from repro.errors import ModelError, OptimizationError
 from repro.ml import RandomForestClassifier, RankSVM, accuracy_score, train_test_split
 
+#: Rows of the pair matrix that ``HeuristicComparator.pairwise_wins``
+#: evaluates at once; its scratch memory is O(block * n) instead of O(n^2).
+_PAIRWISE_BLOCK = 64
+
 
 # --------------------------------------------------------------------------- #
 # Pair dataset construction
@@ -235,10 +239,6 @@ class HeuristicComparator(PlanComparator):
                 return decision
         return 1
 
-    #: Rows of the pair matrix evaluated at once by :meth:`pairwise_wins`;
-    #: its scratch memory is O(block * n) instead of O(n^2).
-    pairwise_block = 64
-
     def pairwise_wins(self, vectors: Sequence[PlanVector]) -> np.ndarray:
         """:meth:`compare` over every pair ``i < j``, vectorised.
 
@@ -257,8 +257,8 @@ class HeuristicComparator(PlanComparator):
         offloaded = np.array([v.counts.get("vdt", 0.0) for v in vectors], dtype=np.float64)
         columns = np.arange(n)
         wins = np.zeros(n, dtype=np.float64)
-        for start in range(0, n, self.pairwise_block):
-            rows = slice(start, min(start + self.pairwise_block, n))
+        for start in range(0, n, _PAIRWISE_BLOCK):
+            rows = slice(start, min(start + _PAIRWISE_BLOCK, n))
             # (first-plan-wins, second-plan-wins) per rule, priority order.
             rules = (
                 (scaled[rows, None] < cardinality[None, :], scaled[None, :] < cardinality[rows, None]),

@@ -225,8 +225,9 @@ def parse_expression(text: str) -> ExprNode:
     return _parse_text(text)
 
 
-#: Most distinct expression texts kept parsed.  A dashboard has a few
-#: dozen; the bound keeps memory flat when texts embed changing literals.
+#: Most distinct expression texts kept parsed.  The seven benchmark
+#: dashboards use 5; the bound keeps memory flat when texts embed
+#: changing literals.
 _PARSE_CACHE_SIZE = 4096
 
 

@@ -1,10 +1,13 @@
 """Tests for the pairwise comparators, training and consolidation."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import comparators
 from repro.core.comparators import (
     HeuristicComparator,
     PlanComparator,
@@ -270,9 +273,9 @@ def as_vectors(drawn):
 )
 def test_heuristic_pairwise_wins_equals_loop(drawn, alpha, epsilon, block):
     comparator = HeuristicComparator(alpha=alpha, cardinality_epsilon=epsilon)
-    comparator.pairwise_block = block
     vectors = as_vectors(drawn)
-    wins = comparator.pairwise_wins(vectors)
+    with mock.patch.object(comparators, "_PAIRWISE_BLOCK", block):
+        wins = comparator.pairwise_wins(vectors)
     assert wins.dtype == np.float64
     assert wins.tolist() == loop_wins(comparator, vectors).tolist()
 
@@ -290,7 +293,7 @@ def test_heuristic_pairwise_wins_alpha_boundary_is_a_tie():
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
 def test_heuristic_pairwise_wins_around_block_size(n):
     comparator = HeuristicComparator()
-    assert comparator.pairwise_block == 64
+    assert comparators._PAIRWISE_BLOCK == 64
     rng = np.random.default_rng(n)
     vectors = [
         PlanVector(
